@@ -88,8 +88,8 @@ pub fn run(scale: Scale) -> Table {
         "service tracing overhead: requests/s, span collection off vs on",
         &["design", "reps", "off /s", "on /s", "overhead"],
     );
-    let reps = scale.n(3, 15) as u64;
-    let batch = scale.n(4, 40);
+    let reps = scale.n(3, 41) as u64;
+    let batch = scale.n(4, 200);
 
     for name in ["gcd", "diffeq"] {
         let w = by_name(name).expect("catalogue workload exists");

@@ -32,11 +32,12 @@
 //!
 //! ## Shutdown sequence
 //!
-//! `SIGTERM` (or [`ServerHandle::shutdown`]) → stop accepting → workers
+//! `SIGTERM` (or [`ServerHandle::shutdown`]) → `draining` is set and a
+//! self-connect wakes the blocking `accept()` → stop accepting → workers
 //! drain the admitted queue → final cache snapshot + journal sync → exit.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -90,9 +91,6 @@ pub struct ServerConfig {
     pub snapshot_every: u64,
     /// Honour `"chaos"` request fields (tests only).
     pub allow_chaos: bool,
-    /// Poll [`signal::term_requested`] in the accept loop (`etpnd` sets
-    /// this; embedded/test servers use [`ServerHandle::shutdown`]).
-    pub watch_term_signal: bool,
     /// Record request-scoped span trees (trace ids are issued either way;
     /// disabling skips span collection, the trace store and tail capture).
     pub tracing: bool,
@@ -128,7 +126,6 @@ impl Default for ServerConfig {
             cov_shed_depth: 32,
             snapshot_every: 16,
             allow_chaos: false,
-            watch_term_signal: false,
             tracing: true,
             debug_ring: 256,
             trace_store: 32,
@@ -171,11 +168,7 @@ pub struct ServerHandle {
 /// Start a server. Binds, recovers journals, and spawns the acceptor and
 /// worker threads; returns once the listener is live.
 pub fn start(cfg: ServerConfig) -> std::io::Result<ServerHandle> {
-    if cfg.watch_term_signal {
-        signal::install_term_handler();
-    }
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     let registry = Registry::new(cfg.breaker);
@@ -233,8 +226,23 @@ impl ServerHandle {
     /// Returns the final stats-JSON export (the complete life of the
     /// process, including the drain).
     pub fn shutdown(mut self) -> String {
-        self.shared.draining.store(true, Ordering::SeqCst);
+        {
+            // Set under the queue lock, so no worker can check the flag and
+            // then miss this notification on its way into `wait`.
+            let _q = self.shared.queue.lock().unwrap_or_else(|e| e.into_inner());
+            self.shared.draining.store(true, Ordering::SeqCst);
+        }
         self.shared.available.notify_all();
+        // Wake the acceptor out of its blocking `accept()` with a throwaway
+        // connection; it sees `draining` and exits without admitting it.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(wake);
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -243,9 +251,10 @@ impl ServerHandle {
         obs::export::stats_json(&self.shared.stats)
     }
 
-    /// Block until a termination signal arrives, then drain. Returns the
-    /// final stats-JSON export.
+    /// Install the `SIGTERM`/`SIGINT` handler, block until a termination
+    /// signal arrives, then drain. Returns the final stats-JSON export.
     pub fn run_until_term(self) -> String {
+        signal::install_term_handler();
         while !signal::term_requested() {
             std::thread::sleep(Duration::from_millis(50));
         }
@@ -310,20 +319,16 @@ fn open_journals(
 }
 
 /// Accept until drain: full queue → inline `429` shed; otherwise enqueue
-/// with the admission timestamp (deadlines start here).
+/// with the admission timestamp (deadlines start here). The accept blocks;
+/// [`ServerHandle::shutdown`] wakes it with a self-connect.
 fn accept_loop(shared: &Shared, listener: TcpListener) {
     loop {
+        let accepted = listener.accept();
         if shared.draining.load(Ordering::SeqCst) {
             break;
         }
-        if shared.cfg.watch_term_signal && signal::term_requested() {
-            shared.draining.store(true, Ordering::SeqCst);
-            shared.available.notify_all();
-            break;
-        }
-        match listener.accept() {
+        match accepted {
             Ok((stream, _)) => {
-                let stream = stream_ok(stream);
                 let mut q = shared.queue.lock().unwrap_or_else(|e| e.into_inner());
                 if q.len() >= shared.cfg.queue_depth {
                     // The backlog age — how long the oldest admitted
@@ -343,21 +348,15 @@ fn accept_loop(shared: &Shared, listener: TcpListener) {
                     shared.stats.counter("serve.admitted").inc();
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
+            Err(_) => {
+                // EMFILE and friends: back off instead of spinning.
+                shared.stats.counter("serve.accept_errors").inc();
+                std::thread::sleep(Duration::from_millis(10));
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(10)),
         }
     }
     // Dropping the listener here closes the accept socket; everything
     // already admitted is still served by the draining workers.
-}
-
-/// Re-queue helper: the accepted stream arrives non-blocking (inherited on
-/// some platforms); force blocking for the request read.
-fn stream_ok(stream: TcpStream) -> TcpStream {
-    let _ = stream.set_nonblocking(false);
-    stream
 }
 
 /// Answer one shed connection inline on the acceptor thread with `429` +
@@ -425,11 +424,7 @@ fn worker_loop(shared: &Shared) {
                 if shared.draining.load(Ordering::SeqCst) {
                     break None;
                 }
-                let (guard, _) = shared
-                    .available
-                    .wait_timeout(q, Duration::from_millis(50))
-                    .unwrap_or_else(|e| e.into_inner());
-                q = guard;
+                q = shared.available.wait(q).unwrap_or_else(|e| e.into_inner());
             }
         };
         match popped {

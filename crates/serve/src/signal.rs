@@ -2,8 +2,8 @@
 //! `SIGINT` handler that flips one atomic flag.
 //!
 //! The handler body is restricted to a single relaxed atomic store, which
-//! is async-signal-safe; the accept loop polls the flag between
-//! non-blocking accepts and starts the graceful drain when it trips.
+//! is async-signal-safe; `ServerHandle::run_until_term` polls the flag and
+//! starts the graceful drain when it trips.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

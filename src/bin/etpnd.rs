@@ -24,7 +24,7 @@
 use std::process::ExitCode;
 use std::time::Duration;
 
-use etpn::serve::{server, BreakerConfig, ServerConfig};
+use etpn::serve::{server, signal, BreakerConfig, ServerConfig};
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.iter()
@@ -106,7 +106,6 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
         cov_shed_depth: parse_flag(args, "--cov-shed-depth", defaults.cov_shed_depth)?,
         snapshot_every: parse_flag(args, "--snapshot-every", defaults.snapshot_every)?,
         allow_chaos: args.iter().any(|a| a == "--allow-chaos"),
-        watch_term_signal: true,
         tracing: !args.iter().any(|a| a == "--no-tracing"),
         // The standalone daemon logs each request by default (the library
         // default stays quiet for embedded/test servers).
@@ -121,6 +120,9 @@ fn run(args: &[String]) -> Result<ExitCode, String> {
     };
     let stats_path = flag_value(args, "--stats-json").map(std::path::PathBuf::from);
 
+    // Installed before the readiness line (`run_until_term` installs it
+    // too), so a supervisor's SIGTERM right after that line is never fatal.
+    signal::install_term_handler();
     let handle = server::start(cfg).map_err(|e| format!("bind failed: {e}"))?;
     println!("listening on {}", handle.addr);
     // Ensure the line is visible to process supervisors piping stdout.

@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use etpn::serve::{
-    request, request_with_headers, start, BreakerConfig, ClientResponse, ServerConfig,
+    request, request_with_headers, start, BreakerConfig, ClientResponse, ServerConfig, ServerHandle,
 };
 
 const ADDER: &str = "design adder { in a, b; out s; s = a + b; }";
@@ -761,4 +761,218 @@ fn shutdown_drains_admitted_work() {
 
     // The listener is gone: new connections are refused (or reset).
     assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(500)).is_err());
+}
+
+/// Run `shutdown` on a helper thread and wait at most `limit` for its
+/// stats export, so a lost acceptor or worker wake-up fails the test
+/// instead of hanging it.
+fn shutdown_within(handle: ServerHandle, limit: Duration) -> String {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        let _ = tx.send(handle.shutdown());
+    });
+    let stats = rx
+        .recv_timeout(limit)
+        .unwrap_or_else(|_| panic!("shutdown did not return within {limit:?}"));
+    helper.join().expect("shutdown thread panicked");
+    stats
+}
+
+/// A counter from a stats-JSON export (0 when it was never bumped).
+fn counter(stats: &str, name: &str) -> i64 {
+    let doc = etpn::core::json::parse(stats).expect("stats export parses");
+    doc.get("counters")
+        .and_then(|c| c.get(name))
+        .map_or(0, |v| v.as_i64().expect("integer counter"))
+}
+
+/// An idle server's acceptor is parked in a blocking `accept()` and its
+/// workers in a plain condvar wait; `shutdown` wakes both.
+#[test]
+fn idle_shutdown_returns_promptly() {
+    let handle = start(ServerConfig::default()).unwrap();
+    // Let the acceptor and workers park before the drain.
+    std::thread::sleep(Duration::from_millis(100));
+    let stats = shutdown_within(handle, Duration::from_secs(1));
+    assert_eq!(counter(&stats, "serve.admitted"), 0, "{stats}");
+}
+
+/// Bound to the unspecified address, the drain wake-up connects through
+/// loopback on the same port.
+#[test]
+fn idle_shutdown_of_a_wildcard_bound_server_returns_promptly() {
+    let handle = start(ServerConfig {
+        addr: "0.0.0.0:0".into(),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    assert!(handle.addr.ip().is_unspecified());
+    let loopback = std::net::SocketAddr::from(([127, 0, 0, 1], handle.addr.port()));
+    assert_eq!(get(&loopback, "/healthz").status, 200);
+    std::thread::sleep(Duration::from_millis(100));
+    let stats = shutdown_within(handle, Duration::from_secs(1));
+    assert_eq!(counter(&stats, "serve.admitted"), 1, "{stats}");
+}
+
+/// The drain wake-up connection is dropped unadmitted: `serve.admitted`
+/// counts exactly the requests the test sent.
+#[test]
+fn drain_wake_connection_is_never_admitted() {
+    let handle = start(ServerConfig::default()).unwrap();
+    let addr = handle.addr;
+    assert_eq!(post(&addr, "/v1/designs", &src_body(ADDER)).status, 201);
+    for a in 0..5 {
+        let body = format!(r#"{{"design":"adder","inputs":{{"a":[{a}],"b":[1]}}}}"#);
+        assert_eq!(post(&addr, "/v1/run", &body).status, 200);
+    }
+    let stats = shutdown_within(handle, Duration::from_secs(1));
+    assert_eq!(counter(&stats, "serve.admitted"), 6, "{stats}");
+    assert_eq!(counter(&stats, "serve.status.2xx"), 6, "{stats}");
+    assert_eq!(counter(&stats, "serve.read_failures"), 0, "{stats}");
+}
+
+/// A spawned `etpnd` process, killed (and reaped) if the test fails
+/// before it exits on its own.
+#[cfg(target_os = "linux")]
+struct Daemon(std::process::Child);
+
+#[cfg(target_os = "linux")]
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[cfg(target_os = "linux")]
+impl Daemon {
+    /// Spawn `etpnd` through `sh` (so a test can set `ulimit`s first) and
+    /// wait for its `listening on ADDR` line.
+    fn spawn(ulimit: &str) -> (Self, std::net::SocketAddr) {
+        use std::io::BufRead;
+        use std::process::{Command, Stdio};
+        let mut child = Command::new("sh")
+            .arg("-c")
+            .arg(format!(
+                "{ulimit} exec \"$0\" --addr 127.0.0.1:0 --no-access-log"
+            ))
+            .arg(env!("CARGO_BIN_EXE_etpnd"))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn etpnd");
+        let mut line = String::new();
+        std::io::BufReader::new(child.stdout.take().unwrap())
+            .read_line(&mut line)
+            .unwrap();
+        let daemon = Self(child);
+        let addr = line
+            .trim()
+            .strip_prefix("listening on ")
+            .unwrap_or_else(|| panic!("unexpected first line {line:?}"))
+            .parse()
+            .unwrap();
+        (daemon, addr)
+    }
+
+    /// `voluntary_ctxt_switches` of the named thread, from `/proc`.
+    fn voluntary_switches(&self, thread: &str) -> u64 {
+        let tasks = format!("/proc/{}/task", self.0.id());
+        // Threads name themselves once running; give them a moment.
+        for _ in 0..100 {
+            for task in std::fs::read_dir(&tasks).unwrap() {
+                let dir = task.unwrap().path();
+                let comm = std::fs::read_to_string(dir.join("comm")).unwrap_or_default();
+                if comm.trim() != thread {
+                    continue;
+                }
+                let status = std::fs::read_to_string(dir.join("status")).unwrap();
+                return status
+                    .lines()
+                    .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+                    .expect("status has voluntary_ctxt_switches")
+                    .trim()
+                    .parse()
+                    .unwrap();
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        }
+        panic!("no thread {thread} under {tasks}");
+    }
+
+    /// Send `SIGTERM`; wait at most `limit` for the exit; return its
+    /// status and stderr.
+    fn terminate_within(mut self, limit: Duration) -> (std::process::ExitStatus, String) {
+        extern "C" {
+            fn kill(pid: i32, sig: i32) -> i32;
+        }
+        const SIGTERM: i32 = 15;
+        // SAFETY: `kill(2)` takes two plain integers and touches no memory
+        // of ours; the pid is our own child, not yet reaped, so it cannot
+        // name a recycled process.
+        assert_eq!(unsafe { kill(self.0.id() as i32, SIGTERM) }, 0);
+        let deadline = std::time::Instant::now() + limit;
+        let status = loop {
+            if let Some(status) = self.0.try_wait().unwrap() {
+                break status;
+            }
+            assert!(
+                std::time::Instant::now() < deadline,
+                "etpnd did not exit within {limit:?} of SIGTERM"
+            );
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        self.0
+            .stderr
+            .take()
+            .unwrap()
+            .read_to_string(&mut stderr)
+            .unwrap();
+        (status, stderr)
+    }
+}
+
+/// The real daemon: an idle acceptor blocks in `accept()` instead of
+/// polling (a 2 ms poll woke it ~250 times in 500 ms), and `SIGTERM`
+/// still drains it to a clean exit.
+#[cfg(target_os = "linux")]
+#[test]
+fn etpnd_idles_without_wakeups_and_drains_on_sigterm() {
+    let (daemon, addr) = Daemon::spawn("");
+    assert_eq!(get(&addr, "/healthz").status, 200);
+    let before = daemon.voluntary_switches("etpnd-accept");
+    std::thread::sleep(Duration::from_millis(500));
+    let woke = daemon.voluntary_switches("etpnd-accept") - before;
+    assert!(woke <= 5, "idle acceptor woke {woke} times in 500 ms");
+
+    let (status, stderr) = daemon.terminate_within(Duration::from_secs(2));
+    assert!(status.success(), "{status:?}: {stderr}");
+    assert!(stderr.contains("drained, exiting"), "{stderr}");
+}
+
+/// Running out of file descriptors makes `accept()` fail; the acceptor
+/// backs off, counts each failure in `serve.accept_errors`, and serves
+/// again once descriptors are freed.
+#[cfg(target_os = "linux")]
+#[test]
+fn etpnd_counts_accept_errors_when_out_of_descriptors() {
+    let (daemon, addr) = Daemon::spawn("ulimit -n 16;");
+    // Idle connections pin one descriptor each in the admission queue
+    // (the workers wait on their unsent requests) until the table is full.
+    let hogs: Vec<TcpStream> = (0..32).map(|_| TcpStream::connect(addr).unwrap()).collect();
+    std::thread::sleep(Duration::from_millis(200));
+    drop(hogs);
+    let stats = get(&addr, "/stats");
+    assert_eq!(stats.status, 200, "{}", stats.body);
+    assert!(
+        counter(&stats.body, "serve.accept_errors") > 0,
+        "{}",
+        stats.body
+    );
+    let metrics = get(&addr, "/metrics").body;
+    assert!(metrics.contains("\netpn_serve_accept_errors "), "{metrics}");
+
+    let (status, stderr) = daemon.terminate_within(Duration::from_secs(2));
+    assert!(status.success(), "{status:?}: {stderr}");
 }
