@@ -30,7 +30,11 @@ impl Etpn {
     /// not per step.
     pub fn fingerprint(&self) -> u64 {
         use crate::hash::StableHasher;
+        use std::fmt::Write as _;
         let mut h = StableHasher::new();
+        // Ops hash as their `Debug` text; one reused buffer keeps that
+        // allocation-free after the first port.
+        let mut op_text = String::new();
         for slot in self.dp.vertices().slots() {
             match slot {
                 None => h.write_u64(u64::MAX),
@@ -61,7 +65,11 @@ impl Etpn {
                     h.write_u32(p.index as u32);
                     match p.op {
                         None => h.write_u64(u64::MAX - 1),
-                        Some(op) => h.write_str(&format!("{op:?}")),
+                        Some(op) => {
+                            op_text.clear();
+                            let _ = write!(op_text, "{op:?}");
+                            h.write_str(&op_text);
+                        }
                     }
                 }
             }

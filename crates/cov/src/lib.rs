@@ -99,8 +99,14 @@ impl std::error::Error for MergeMismatch {}
 impl CovDb {
     /// An empty DB sized for `g` (raw-id capacities, dead slots included).
     pub fn new(g: &Etpn) -> Self {
+        Self::for_design(g, g.fingerprint())
+    }
+
+    /// [`Self::new`] for a caller that already holds `fingerprint`
+    /// (`g.fingerprint()`), sparing a second pass over the design.
+    pub fn for_design(g: &Etpn, fingerprint: u64) -> Self {
         Self {
-            fingerprint: g.fingerprint(),
+            fingerprint,
             runs: 0,
             steps: 0,
             place_marked: BitSet::new(g.ctl.places().capacity_bound()),

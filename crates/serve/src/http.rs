@@ -303,24 +303,25 @@ impl Response {
     }
 
     /// Serialize and write the response; the connection is then closed by
-    /// the caller (the service is deliberately `Connection: close`).
+    /// the caller (the service is deliberately `Connection: close`). Head
+    /// and body go out in one `write_all`: one syscall and, on loopback,
+    /// one segment per response.
     pub fn write_to(&self, stream: &mut TcpStream) -> std::io::Result<()> {
-        let mut head = format!(
+        let mut wire = Vec::with_capacity(256 + self.body.len());
+        write!(
+            wire,
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n",
             self.status,
             status_reason(self.status),
             self.content_type,
             self.body.len()
-        );
+        )?;
         for (k, v) in &self.headers {
-            head.push_str(k);
-            head.push_str(": ");
-            head.push_str(v);
-            head.push_str("\r\n");
+            write!(wire, "{k}: {v}\r\n")?;
         }
-        head.push_str("\r\n");
-        stream.write_all(head.as_bytes())?;
-        stream.write_all(&self.body)?;
+        wire.extend_from_slice(b"\r\n");
+        wire.extend_from_slice(&self.body);
+        stream.write_all(&wire)?;
         stream.flush()
     }
 }

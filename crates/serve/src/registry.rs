@@ -6,10 +6,12 @@
 //! addresses the design by fingerprint (or name) and reuses the compiled
 //! artifacts, the shared [`etpn_sim::EvalCache`], and the per-design
 //! [`CovDb`] that keeps accumulating across requests — and, via the
-//! coverage journal, across restarts.
+//! coverage journal, across restarts. Facts fixed by the design itself
+//! (its fingerprint, its lint counts) are derived once per entry, never
+//! per request.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
 use etpn_cov::CovDb;
 use etpn_synth::CompiledDesign;
@@ -30,6 +32,22 @@ pub struct DesignEntry {
     /// Coverage accumulated over every covered request (and recovered
     /// journal frames).
     pub cov: Mutex<CovDb>,
+    /// `(errors, warnings, notes)` under the default lint config, filled
+    /// by the first [`Self::lint_counts`].
+    lint: OnceLock<(usize, usize, usize)>,
+}
+
+impl DesignEntry {
+    /// The design's lint counts `(errors, warnings, notes)` under
+    /// [`etpn_lint::LintConfig::default`]. Lint is a deterministic
+    /// function of the design (the default config has count budgets
+    /// only), so the passes run once per entry and later calls reuse the
+    /// result.
+    pub(crate) fn lint_counts(&self) -> (usize, usize, usize) {
+        *self.lint.get_or_init(|| {
+            etpn_lint::lint_compiled(&self.design, &etpn_lint::LintConfig::default()).counts()
+        })
+    }
 }
 
 /// Why [`Registry::register`] refused a source.
@@ -108,7 +126,8 @@ impl Registry {
             fingerprint,
             source: source.to_string(),
             breaker: CircuitBreaker::new(self.breaker_cfg),
-            cov: Mutex::new(CovDb::new(&design.etpn)),
+            cov: Mutex::new(CovDb::for_design(&design.etpn, fingerprint)),
+            lint: OnceLock::new(),
             design,
         });
         let mut designs = self.designs.write().unwrap_or_else(|e| e.into_inner());

@@ -59,7 +59,7 @@ use crate::http::{read_request, ReadError, Request, Response};
 use crate::persist::{split_trace_frame, stamp_trace_frame, Journal};
 use crate::registry::{format_fingerprint, DesignEntry, RegisterError, Registry};
 use crate::signal;
-use obs::{TraceCtx, TraceId};
+use obs::{FinishedTrace, TraceCtx, TraceId};
 
 /// Server tuning. The defaults are sized for tests and small deployments;
 /// `etpnd` exposes the operational knobs as flags.
@@ -522,13 +522,12 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
         let _w = ctx.span("response.write");
         let _ = response.write_to(&mut stream);
     }
-    drop(stream);
 
     let done = Instant::now();
     let queue_us = picked.saturating_duration_since(admitted).as_micros() as u64;
     let service_us = done.saturating_duration_since(picked).as_micros() as u64;
     let total_us = done.saturating_duration_since(admitted).as_micros() as u64;
-    finish_request(
+    let captured = finish_request(
         shared,
         &ctx,
         RequestSummary {
@@ -543,13 +542,31 @@ fn handle_conn(shared: &Shared, mut stream: TcpStream, admitted: Instant) {
             at_unix_ms: unix_ms(),
         },
     );
+    // The client sees the end of its response only at this close, after
+    // the request is published: whoever read a response can look it up
+    // in the debug ring and trace store. The capture file can wait.
+    drop(stream);
+    if let (Some(finished), Some(dir)) = (captured, shared.cfg.data_dir.as_ref()) {
+        let dir = dir.join("traces");
+        if std::fs::create_dir_all(&dir).is_ok() {
+            let _ = std::fs::write(
+                dir.join(format!("{}.trace.json", finished.trace_id)),
+                finished.chrome_json(),
+            );
+        }
+    }
 }
 
 /// The observability epilogue every completed request runs: SLO
 /// histograms (per-verb and per-design latency, queue-wait vs. service
 /// split), the access log, the debug ring, the trace store, and the
-/// slow/errored tail capture.
-fn finish_request(shared: &Shared, ctx: &TraceCtx, summary: RequestSummary) {
+/// slow/errored tail capture. Returns the captured span tree, which the
+/// caller persists under `--data` once the connection is closed.
+fn finish_request(
+    shared: &Shared,
+    ctx: &TraceCtx,
+    summary: RequestSummary,
+) -> Option<Arc<FinishedTrace>> {
     let verb_hist = shared
         .stats
         .histogram_with("serve.latency_us", &[("verb", summary.verb)]);
@@ -579,6 +596,7 @@ fn finish_request(shared: &Shared, ctx: &TraceCtx, summary: RequestSummary) {
         access_log_line(&summary);
     }
 
+    let mut captured = None;
     if let Some(finished) = ctx.finish() {
         let errored = summary.status >= 500 || summary.status == 408;
         // Tail capture: above the live p99 *and* the absolute floor. The
@@ -590,19 +608,12 @@ fn finish_request(shared: &Shared, ctx: &TraceCtx, summary: RequestSummary) {
         let finished = Arc::new(finished);
         if errored || slow {
             shared.stats.counter("serve.trace_captures").inc();
-            if let Some(dir) = shared.cfg.data_dir.as_ref() {
-                let dir = dir.join("traces");
-                if std::fs::create_dir_all(&dir).is_ok() {
-                    let _ = std::fs::write(
-                        dir.join(format!("{}.trace.json", summary.trace_id)),
-                        finished.chrome_json(),
-                    );
-                }
-            }
+            captured = Some(Arc::clone(&finished));
         }
         shared.traces.insert(finished);
     }
     shared.debug.push(summary);
+    captured
 }
 
 /// One structured JSON access-log line on stderr.
@@ -1020,6 +1031,7 @@ fn run_once(
     }
     let mut job = SimJob::new(&entry.design.etpn, p.env.clone())
         .backend(backend)
+        .design_fingerprint(entry.fingerprint)
         .with_policy(p.policy)
         .max_steps(p.steps)
         .wall_budget(remaining);
@@ -1239,6 +1251,7 @@ fn check_verb(shared: &Shared, req: &Request, admitted: Instant, meta: &mut ReqM
         .map(|&policy| {
             let mut job = SimJob::new(&entry.design.etpn, params.env.clone())
                 .backend(params.backend)
+                .design_fingerprint(entry.fingerprint)
                 .with_policy(policy)
                 .max_steps(params.steps)
                 .with_trace(batch_span.ctx());
@@ -1372,8 +1385,7 @@ fn lint_verb(shared: &Shared, req: &Request, meta: &mut ReqMeta) -> Response {
         Err(r) => return r,
     };
     meta.design = Some(entry.design.name.clone());
-    let report = etpn_lint::lint_compiled(&entry.design, &etpn_lint::LintConfig::default());
-    let (errors, warnings, notes) = report.counts();
+    let (errors, warnings, notes) = entry.lint_counts();
     Response::json(
         200,
         &Json::obj([

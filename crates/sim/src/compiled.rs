@@ -402,12 +402,11 @@ impl CompiledDesign {
         self.live_ports
     }
 
-    /// True when this compilation's shape matches `g` (guards the global
-    /// cache against fingerprint collisions; same spirit as the eval
-    /// cache's snapshot verification).
-    pub fn matches(&self, g: &Etpn) -> bool {
-        self.fingerprint == g.fingerprint()
-            && self.n_ports == g.dp.ports().capacity_bound()
+    /// True when this compilation's arena capacities match `g`'s. With an
+    /// equal fingerprint this guards the global cache against fingerprint
+    /// collisions (same spirit as the eval cache's snapshot verification).
+    fn same_shape(&self, g: &Etpn) -> bool {
+        self.n_ports == g.dp.ports().capacity_bound()
             && self.n_arcs == g.dp.arcs().capacity_bound()
             && self.n_places == g.ctl.places().capacity_bound()
             && self.n_trans == g.ctl.transitions().capacity_bound()
@@ -494,7 +493,8 @@ pub fn get_or_compile(g: &Etpn) -> Arc<CompiledDesign> {
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     if let Some(cd) = map.get(&fp) {
-        if cd.matches(g) {
+        // `fp` is the map key: only the shape is left to check.
+        if cd.same_shape(g) {
             return Arc::clone(cd);
         }
         return Arc::new(CompiledDesign::compile(g));

@@ -258,7 +258,8 @@ impl<'g, E: Environment> Simulator<'g, E> {
         }
         self.toggle_pending = ports.into_iter().map(|p| (p, 0u8)).collect();
         self.guard_seen = vec![0; self.g.ctl.transitions().capacity_bound()];
-        self.cov = Some(CovDb::new(self.g));
+        let fp = self.design_fingerprint();
+        self.cov = Some(CovDb::for_design(self.g, fp));
         self
     }
 
@@ -276,11 +277,12 @@ impl<'g, E: Environment> Simulator<'g, E> {
     /// share work whenever they pass through the same configuration —
     /// which policy/seed sweeps over the same design do almost every step.
     /// Silently a no-op when the environment cannot be fingerprinted
-    /// ([`Environment::fingerprint`] returns `None`).
+    /// ([`Environment::fingerprint`] returns `None`). Only the interpreter
+    /// reads the cache; the compiled backends carry the handle unused.
     pub fn with_cache(mut self, cache: Arc<EvalCache>) -> Self {
         self.cache = self.env.fingerprint().map(|env_fp| CacheHandle {
             cache,
-            design_fp: self.g.fingerprint(),
+            design_fp: self.design_fingerprint(),
             env_fp,
         });
         self
@@ -323,15 +325,31 @@ impl<'g, E: Environment> Simulator<'g, E> {
         self
     }
 
-    /// Supply the design's precomputed [`Etpn::fingerprint`] so a recorded
-    /// run does not re-derive it. The fingerprint is one full pass over
-    /// the design — negligible for a long run, but the dominant recording
-    /// cost for short ones — so batch drivers (the fleet, experiment
-    /// harnesses) compute it once per design and pass it to every job.
-    /// The caller must not mutate the design afterwards.
+    /// Supply the design's precomputed [`Etpn::fingerprint`] so a run
+    /// does not re-derive it for its recording, coverage DB or cache key.
+    /// The fingerprint is one full pass over the design — negligible for
+    /// a long run, but a visible cost for short ones — so batch drivers
+    /// (the fleet, experiment harnesses) compute it once per design and
+    /// pass it to every job. The caller must not mutate the design
+    /// afterwards.
     pub fn with_design_fingerprint(mut self, fp: u64) -> Self {
         self.design_fp = Some(fp);
         self
+    }
+
+    /// The design's [`Etpn::fingerprint`], derived at most once per
+    /// simulator: the supplied one, else the compiled design's (already
+    /// computed as its cache key), else one pass over the design.
+    fn design_fingerprint(&mut self) -> u64 {
+        if let Some(fp) = self.design_fp {
+            return fp;
+        }
+        let fp = match &self.compiled {
+            Some(cs) => cs.cd.fingerprint(),
+            None => self.g.fingerprint(),
+        };
+        self.design_fp = Some(fp);
+        fp
     }
 
     /// Treat a committed read past the end of a finite input stream as
@@ -655,10 +673,11 @@ impl<'g, E: Environment> Simulator<'g, E> {
         if let Some(cfg) = self.rec_cfg.take() {
             let (streams, repeat_last) = self.env.export_streams().unwrap_or_default();
             let (policy_tag, policy_seed) = self.policy.encode();
+            let design_fp = self.design_fingerprint();
             self.rec = Some(Recorder::new(
                 cfg,
                 RecMeta {
-                    design_fp: self.design_fp.unwrap_or_else(|| self.g.fingerprint()),
+                    design_fp,
                     env_fp: self.env.fingerprint(),
                     policy_tag,
                     policy_seed,

@@ -216,21 +216,26 @@ impl<'g, E: Environment> SimJob<'g, E> {
         self
     }
 
-    /// Supply the design's precomputed fingerprint so each recorded job
-    /// skips re-deriving it (see
-    /// [`Simulator::with_design_fingerprint`]). Campaign drivers compute
-    /// it once per design and stamp every job.
+    /// Supply the design's precomputed fingerprint so each job skips
+    /// re-deriving it for its recording, coverage DB or cache key (see
+    /// [`Simulator::with_design_fingerprint`]). Campaign drivers and
+    /// etpnd's registry compute it once per design and stamp every job.
     pub fn design_fingerprint(mut self, fp: u64) -> Self {
         self.design_fp = Some(fp);
         self
     }
 
-    /// Build the configured simulator, optionally wired to a memo cache.
+    /// Build the configured simulator, wired to `cache` when it runs on
+    /// the interpreter — the only backend that reads the memo cache, so
+    /// compiled jobs skip the handle's design and environment hashes.
     fn into_sim(self, cache: Option<&Arc<EvalCache>>) -> Simulator<'g, E> {
         let mut sim = Simulator::new(self.g, self.env)
             .with_backend(self.backend)
             .with_policy(self.policy);
-        if let Some(c) = cache {
+        if let Some(fp) = self.design_fp {
+            sim = sim.with_design_fingerprint(fp);
+        }
+        if let (Some(c), Backend::Interp) = (cache, self.backend) {
             sim = sim.with_cache(Arc::clone(c));
         }
         if let Some(v) = self.init_all {
@@ -257,13 +262,11 @@ impl<'g, E: Environment> SimJob<'g, E> {
         if let Some(cfg) = self.record {
             sim = sim.with_recorder(cfg);
         }
-        if let Some(fp) = self.design_fp {
-            sim = sim.with_design_fingerprint(fp);
-        }
         sim
     }
 
-    /// Execute this job on the calling thread, memoising through `cache`.
+    /// Execute this job on the calling thread, memoising through `cache`
+    /// on the interpreter backend.
     pub fn run(self, cache: &Arc<EvalCache>) -> Result<Trace, SimError> {
         let max_steps = self.max_steps;
         self.into_sim(Some(cache)).run(max_steps)
@@ -1357,6 +1360,39 @@ mod tests {
         let cold = job().run_uncached().unwrap();
         assert_eq!(format!("{warm:?}"), format!("{cold:?}"));
         assert!(cache.stats().hits > 0);
+    }
+
+    #[test]
+    fn compiled_jobs_never_touch_the_cache() {
+        let g = add_once();
+        let cache = Arc::new(EvalCache::new());
+        for backend in [Backend::Compiled, Backend::CompiledNoDirty] {
+            for coverage in [false, true] {
+                let mut job = SimJob::new(&g, env_ab(1, 2)).backend(backend);
+                if coverage {
+                    job = job.with_coverage();
+                }
+                let t = job.run(&cache).unwrap();
+                assert_eq!(t.values_on_named_output(&g, "y"), vec![3]);
+            }
+        }
+        let s = cache.stats();
+        assert_eq!((s.entries, s.hits, s.misses), (0, 0, 0), "{s:?}");
+    }
+
+    #[test]
+    fn coverage_is_keyed_by_the_design_fingerprint() {
+        let g = add_once();
+        let cache = Arc::new(EvalCache::new());
+        for backend in [Backend::Interp, Backend::Compiled, Backend::CompiledNoDirty] {
+            let t = SimJob::new(&g, env_ab(1, 2))
+                .backend(backend)
+                .with_coverage()
+                .run(&cache)
+                .unwrap();
+            let cov = t.cov.expect("coverage requested");
+            assert_eq!(cov.fingerprint, g.fingerprint(), "{backend:?}");
+        }
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! per-arc value sequences plus the `≺`/`≍` relations) byte-for-byte
 //! against the checked-in file under `tests/golden/es/`. Because the
 //! differential battery separately proves compiled ≡ interp, these files
-//! pin the *absolute* observable behaviour of both engines. Regenerate
-//! after an intentional semantic change with:
+//! pin the *absolute* observable behaviour of both engines. The design
+//! fingerprints themselves are pinned to literal constants as well.
+//! Regenerate the digests after an intentional semantic change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_es
@@ -83,4 +84,42 @@ fn gcd_event_structure_matches_golden() {
 #[test]
 fn diffeq_event_structure_matches_golden() {
     check_golden("diffeq");
+}
+
+/// `Etpn::fingerprint` keys the registry, journals, recordings and the VCD
+/// `$date` header, so its value must never drift. Every catalogue design
+/// plus two seeded random nets are pinned to literal constants.
+#[test]
+fn fingerprints_match_pinned_constants() {
+    const PINNED: &[(&str, u64)] = &[
+        ("diffeq", 0x4691_add6_6327_7676),
+        ("ewf", 0xfdac_e3af_409c_02b8),
+        ("fir16", 0x11db_a619_568e_fb52),
+        ("gcd", 0x3a37_64f5_beaa_7776),
+        ("ar_lattice", 0x4da0_950b_91fd_bc73),
+        ("iir", 0x84ee_ba35_96a6_a083),
+        ("alphabeta", 0xae4a_480e_dbef_08ec),
+        ("isqrt", 0x549d_7690_c4ba_15d0),
+        ("random_net_128", 0x2f78_1244_fd86_0c23),
+        ("random_net_1024", 0xc59c_5378_6cf9_0b4d),
+    ];
+    let mut got: Vec<(String, u64)> = etpn_workloads::catalog()
+        .iter()
+        .map(|w| {
+            let d = etpn_synth::compile_source(&w.source).expect("workload compiles");
+            (w.name.to_string(), d.etpn.fingerprint())
+        })
+        .collect();
+    for n in [128, 1024] {
+        got.push((
+            format!("random_net_{n}"),
+            etpn_workloads::random_net(7, n).fingerprint(),
+        ));
+    }
+    let table: String = got
+        .iter()
+        .map(|(name, fp)| format!("(\"{name}\", {fp:#018x}),\n"))
+        .collect();
+    let pinned: Vec<(String, u64)> = PINNED.iter().map(|&(n, f)| (n.to_string(), f)).collect();
+    assert!(got == pinned, "fingerprints drifted; computed:\n{table}");
 }

@@ -217,6 +217,48 @@ fn breaker_trips_on_panics_and_recovers_half_open() {
     assert!(stats.contains("serve.backend_fallbacks"), "{stats}");
 }
 
+/// `/v1/lint` is computed once per registered design and reused: every
+/// catalogue design answers twice with the counts of a fresh
+/// `lint_compiled`, and the memo never freezes the live `breaker` field.
+#[test]
+fn lint_is_memoised_per_design_but_breaker_stays_live() {
+    let cfg = ServerConfig {
+        allow_chaos: true,
+        breaker: BreakerConfig {
+            threshold: 1,
+            cooldown: Duration::from_secs(60),
+            ..BreakerConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let handle = start(cfg).unwrap();
+    let addr = handle.addr;
+    let lint = |design: &str| {
+        let r = post(&addr, "/v1/lint", &format!(r#"{{"design":"{design}"}}"#));
+        assert_eq!(r.status, 200, "{}", r.body);
+        let doc = etpn::core::json::parse(&r.body).expect("lint JSON parses");
+        let n = |k: &str| doc.get(k).unwrap().as_i64().unwrap() as usize;
+        let breaker = doc.get("breaker").unwrap().as_str().unwrap().to_string();
+        ((n("errors"), n("warnings"), n("notes")), breaker)
+    };
+    for w in etpn::workloads::catalog() {
+        assert_eq!(post(&addr, "/v1/designs", &src_body(&w.source)).status, 201);
+        let d = etpn::synth::compile_source(&w.source).unwrap();
+        let fresh = etpn::lint::lint_compiled(&d, &etpn::lint::LintConfig::default()).counts();
+        for _ in 0..2 {
+            assert_eq!(lint(&d.name), (fresh, "closed".to_string()), "{}", w.name);
+        }
+    }
+    // One retry-exhausted panic trips the threshold-1 breaker; the next
+    // lint, answered from the memo, still reports it open.
+    let r = post(&addr, "/v1/run", r#"{"design":"gcd","chaos":"panic"}"#);
+    assert_eq!(r.status, 500, "{}", r.body);
+    let (counts, breaker) = lint("gcd");
+    assert_eq!(breaker, "open");
+    assert_eq!((counts, breaker), lint("gcd"));
+    handle.shutdown();
+}
+
 /// A malformed request that lands as the half-open probe must not wedge
 /// the breaker: the 400 abstains (the design was never exercised), the
 /// probe re-arms, and the next good request recovers the design — the
